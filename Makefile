@@ -3,11 +3,18 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-json race docs traceguard fuzz-smoke cover
+.PHONY: check fmt vet build test bench bench-json race docs traceguard fuzz-smoke cover perfbench-test
 
 # check includes docs, whose recipe runs `go vet ./...` — listing vet
 # here too would vet the module twice per gate.
-check: fmt build test traceguard fuzz-smoke docs
+check: fmt build test traceguard fuzz-smoke docs perfbench-test
+
+# The repository benchmark (perfbench/) is a module of its own, so the
+# root `go vet ./...` and `go test ./...` never reach it; vet and test
+# it here.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Fuzz smoke: a few hundred executions of each binary-frame fuzz
 # target — enough for the seed corpus plus mutations to walk every
@@ -63,7 +70,7 @@ bench:
 # tracked alongside ns/op — and record them as JSON diffable PR over
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
 # instances run at a lower iteration count: one solve is ~10^8 ns.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR12.json
 BENCH_NOTES ?=
 bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \

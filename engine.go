@@ -157,7 +157,7 @@ func (e *Engine) Run(req Request) (*MapResult, error) {
 // swap or bisection level, not a whole stage. It returns ctx.Err() as
 // soon as the deadline expires or the caller cancels.
 func (e *Engine) RunContext(ctx context.Context, req Request) (*MapResult, error) {
-	return e.runSolve(ctx, req.Tasks, req.Solve(), 0)
+	return e.runSolve(ctx, req.Tasks, req.Solve(), 0, nil)
 }
 
 // RunSolve executes one declarative Solve spec against the task
@@ -166,15 +166,22 @@ func (e *Engine) RunContext(ctx context.Context, req Request) (*MapResult, error
 // Solve and a hand-built Request describing the same job produce
 // byte-identical results.
 func (e *Engine) RunSolve(ctx context.Context, tasks *TaskGraph, s Solve) (*MapResult, error) {
-	return e.runSolve(ctx, tasks, s, 0)
+	return e.runSolve(ctx, tasks, s, 0, nil)
 }
+
+// groupTasks is the §III-A graph grouping runSolve and the portfolio's
+// shared grouping call; tests swap it to inject grouping faults.
+var groupTasks = taskgraph.GroupTasksExec
 
 // runSolve implements the solve pipeline. defaultWorkers is the
 // parallelism a Solve with Workers == 0 gets: 0 means
 // parallel.Workers() (direct Run/RunContext/RunSolve calls use the
 // whole host), while RunBatch and RunPortfolio pass 1 (their pools
-// already fan out across requests).
-func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int) (*MapResult, error) {
+// already fan out across requests). shared, when non-nil, is the
+// candidate's handle on a grouping RunPortfolio already computed for
+// its seed: the solve groups nothing and runs the rest of the pipeline
+// on a private copy of that vector. nil means "group as usual".
+func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int, shared *sharedGroup) (*MapResult, error) {
 	if tg == nil {
 		return nil, fmt.Errorf("topomap: request carries no task graph")
 	}
@@ -185,9 +192,15 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 		// The per-solve budget composes with the caller's ctx:
 		// whichever expires first cancels the pipeline. Enforcing it
 		// here (the single pipeline entry) makes the budget uniform
-		// across RunSolve, RunBatch and portfolio candidates.
+		// across RunSolve, RunBatch and portfolio candidates. A shared
+		// grouping still counts against the budget, as if the
+		// candidate had run it itself.
+		budget := time.Duration(s.TimeoutMS) * time.Millisecond
+		if shared != nil {
+			budget -= shared.wall
+		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(s.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	if tg.K > e.alloc.TotalProcs() {
@@ -211,7 +224,10 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 		workers = defaultWorkers
 	}
 	var tr *trace.Trace
-	if s.Trace {
+	switch {
+	case shared != nil && shared.tr != nil:
+		tr = shared.tr
+	case s.Trace:
 		tr = trace.New()
 	}
 	ex := &core.Exec{Par: parallel.NewGroup(ctx, workers), Arena: e.arena, Trace: tr}
@@ -220,14 +236,26 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := ex.StartSpan("group")
-	sp.SetWorkers(poolWorkers)
+	var sp *trace.Span
+	if shared != nil && shared.span != nil {
+		// The lead sharing candidate: its group span already timed
+		// the shared grouping itself.
+		sp = shared.span
+	} else {
+		sp = ex.StartSpan("group")
+		sp.SetWorkers(poolWorkers)
+	}
 	var group []int32
 	var err error
-	if caps.BlockGrouping {
+	switch {
+	case shared != nil:
+		// Private copy: RepairLoad and RefineWHFine mutate the vector.
+		group = append([]int32(nil), shared.group...)
+		sp.Add("group_shared", 1)
+	case caps.BlockGrouping:
 		group, err = taskgraph.GroupBlocks(tg.K, e.caps)
-	} else {
-		group, err = taskgraph.GroupTasksExec(tg, e.caps, s.Seed, ex.Par, e.arena, tr)
+	default:
+		group, err = groupTasks(tg, e.caps, s.Seed, ex.Par, e.arena, tr)
 	}
 	sp.Add("groups", int64(e.alloc.NumNodes()))
 	sp.End()
@@ -382,7 +410,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, reqs []Request, workers in
 		// Each request defaults to one worker: the batch pool already
 		// fans out across requests, so per-request parallelism on top
 		// would oversubscribe the host. Solve.Workers overrides.
-		res, err := e.runSolve(ctx, reqs[i].Tasks, reqs[i].Solve(), 1)
+		res, err := e.runSolve(ctx, reqs[i].Tasks, reqs[i].Solve(), 1, nil)
 		if err != nil {
 			return fmt.Errorf("topomap: request %d (%s): %w", i, reqs[i].Mapper, err)
 		}

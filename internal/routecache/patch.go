@@ -86,8 +86,5 @@ func Patch(prev torus.Topology, allocNodes []int32) (torus.Topology, PatchStats,
 			c.off[p+1] = c.off[p] + int32(len(route))
 		}
 	}
-	if mp, ok := base.(torus.MultipathTopology); ok {
-		return &cachedMultipath{cached: c, mp: mp}, stats, nil
-	}
-	return c, stats, nil
+	return c.finish(), stats, nil
 }

@@ -75,10 +75,18 @@ func New(base torus.Topology, allocNodes []int32) (torus.Topology, error) {
 			c.off[p+1] = c.off[p] + int32(len(route))
 		}
 	}
-	if mp, ok := base.(torus.MultipathTopology); ok {
-		return &cachedMultipath{cached: c, mp: mp}, nil
+	return c.finish(), nil
+}
+
+// finish trims append's growth slack off the route table — up to a
+// fifth of it, kept for as long as the engine lives — and wraps a
+// multipath-capable base so the capability survives.
+func (c *cached) finish() torus.Topology {
+	c.links = append(make([]int32, 0, len(c.links)), c.links...)
+	if mp, ok := c.base.(torus.MultipathTopology); ok {
+		return &cachedMultipath{cached: c, mp: mp}
 	}
-	return c, nil
+	return c
 }
 
 // Unwrap exposes the underlying topology to torus.Underlying and the

@@ -112,3 +112,33 @@ func TestNewRejectsBadNodes(t *testing.T) {
 		t.Fatal("duplicate node must be rejected")
 	}
 }
+
+// TestRouteTableTrimmed: the route table an engine keeps for its whole
+// life carries no append growth slack, built fresh or patched.
+func TestRouteTableTrimmed(t *testing.T) {
+	topo := torus.NewHopper3D(16, 16, 16)
+	a, err := alloc.Generate(topo, 128, alloc.Config{Mode: alloc.Sparse, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := func(v torus.Topology) *cached {
+		if mp, ok := v.(*cachedMultipath); ok {
+			return mp.cached
+		}
+		return v.(*cached)
+	}
+	view, err := New(topo, a.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := table(view); len(c.links) == 0 || cap(c.links) != len(c.links) {
+		t.Fatalf("fresh route table: len %d cap %d", len(c.links), cap(c.links))
+	}
+	patched, _, err := Patch(view, a.Nodes[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := table(patched); cap(c.links) != len(c.links) {
+		t.Fatalf("patched route table: len %d cap %d", len(c.links), cap(c.links))
+	}
+}

@@ -12,6 +12,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -540,5 +541,103 @@ func TestSolveMemo(t *testing.T) {
 	}
 	if st := srv.Status(); st.SolveMemoMisses != 2 {
 		t.Fatalf("changed seed should miss the memo: misses %d", st.SolveMemoMisses)
+	}
+}
+
+// TestTotalsOverflowRejected: a task graph whose total edge volume or
+// total load passes 2^53 is a 400 on both protocols. The body below
+// used to be answered 200 with a wrapped, negative wh.
+func TestTotalsOverflowRejected(t *testing.T) {
+	srv := service.New(service.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const huge = 1<<63 - 1
+	topo := service.TopologySpec{Kind: "torus", Dims: []int{4, 4, 4}}
+	alloc := service.AllocationSpec{SparseNodes: 2, Seed: 1}
+
+	for _, tc := range []struct {
+		name  string
+		tasks service.TaskGraphSpec
+		want  string
+	}{
+		{"volume and loads", service.TaskGraphSpec{N: 2, Edges: [][3]int64{{0, 1, huge}, {1, 0, huge}}, Loads: []int64{huge, huge}}, "total edge volume"},
+		{"loads", service.TaskGraphSpec{N: 2, Edges: [][3]int64{{0, 1, 1}}, Loads: []int64{1 << 52, 1<<52 + 1}}, "total load"},
+		{"merged volume", service.TaskGraphSpec{N: 2, Edges: [][3]int64{{0, 1, 1 << 62}, {0, 1, 1 << 62}}}, "total edge volume"},
+	} {
+		t.Run(tc.name+"/v1", func(t *testing.T) {
+			body, err := json.Marshal(service.MapRequest{Topology: topo, Allocation: alloc, Tasks: tc.tasks, Mapper: "UWH", Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			msg, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+				t.Fatalf("got HTTP %d %s, want 400 naming %q", resp.StatusCode, msg, tc.want)
+			}
+		})
+		t.Run(tc.name+"/v2", func(t *testing.T) {
+			// The client's encoder builds (and so validates) the graph
+			// first; a hostile sender writes the raw CSR instead.
+			section := func(fill func(*wirebin.Writer)) []byte {
+				w := wirebin.GetWriter()
+				defer wirebin.PutWriter(w)
+				fill(w)
+				return append([]byte(nil), w.Bytes()...)
+			}
+			xadj := make([]int32, tc.tasks.N+1)
+			var adj []int32
+			var ew []int64
+			for u := 0; u < tc.tasks.N; u++ {
+				for _, e := range tc.tasks.Edges {
+					if e[0] == int64(u) {
+						adj, ew = append(adj, int32(e[1])), append(ew, e[2])
+					}
+				}
+				xadj[u+1] = int32(len(adj))
+			}
+			fw := wirebin.GetWriter()
+			defer wirebin.PutWriter(fw)
+			wirebin.EncodeMapReq(fw, &wirebin.MapReq{
+				Mapper: "UWH",
+				Seed:   1,
+				Topo: wirebin.FullSection(section(func(w *wirebin.Writer) {
+					if err := service.AppendTopologySection(w, topo); err != nil {
+						t.Fatal(err)
+					}
+				})),
+				Alloc: wirebin.FullSection(section(func(w *wirebin.Writer) {
+					if err := service.AppendAllocationSection(w, alloc); err != nil {
+						t.Fatal(err)
+					}
+				})),
+				Tasks: wirebin.FullSection(section(func(w *wirebin.Writer) {
+					wirebin.AppendTasksCSR(w, xadj, adj, ew, tc.tasks.Loads, nil, 0)
+				})),
+			})
+			resp, err := http.Post(ts.URL+"/v2/map", wirebin.ContentType, bytes.NewReader(fw.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgType, payload, err := wirebin.DecodeHeader(raw, 1<<20)
+			if err != nil || msgType != wirebin.MsgError {
+				t.Fatalf("HTTP %d: want an error frame (type %d, err %v)", resp.StatusCode, msgType, err)
+			}
+			ef, err := wirebin.DecodeError(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(ef.Message, tc.want) {
+				t.Fatalf("got HTTP %d %q, want 400 naming %q", resp.StatusCode, ef.Message, tc.want)
+			}
+		})
 	}
 }

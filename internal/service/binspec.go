@@ -183,7 +183,7 @@ var binArena = arena.New()
 // edge-list or spec struct — and canonicalized by the same
 // FromTriples path the JSON spec builder bottoms out in. Validation
 // matches TaskGraphSpec.Build: endpoints in range, volumes positive,
-// self loops dropped, n capped.
+// self loops dropped, n and the volume and load totals capped.
 func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("tasks: need n > 0, got %d", t.N)
@@ -194,6 +194,7 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 	tri := binArena.Edges(t.M)
 	defer binArena.PutEdges(tri)
 	cnt := 0
+	var volume int64
 	for v := 0; v < t.N; v++ {
 		lo, hi := t.Xadj(v), t.Xadj(v+1)
 		for j := lo; j < hi; j++ {
@@ -207,6 +208,9 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 			if int32(v) == dst {
 				continue // self loop, dropped like the JSON path
 			}
+			if !addTotal(&volume, vol) {
+				return nil, errTotalVolume
+			}
 			tri[cnt] = ds.EdgeTriple{U: int32(v), V: dst, W: vol}
 			cnt++
 		}
@@ -214,11 +218,15 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 	var loads []int64
 	if t.HasLoads() {
 		unit := true
+		var load int64
 		loads = make([]int64, t.N)
 		for i := range loads {
 			l := t.Load(i)
 			if l < 0 {
 				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
+			}
+			if !addTotal(&load, l) {
+				return nil, errTotalLoad
 			}
 			if l != 1 {
 				unit = false

@@ -13,6 +13,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -40,8 +41,29 @@ type TaskGraphSpec struct {
 // (vertex arrays, grouping) is unrelated to the request's byte size.
 const maxTasks = 1 << 20
 
+// maxTotal bounds a task graph's total edge volume and total load. The
+// metrics sum both as int64 and report them as float64, so a total
+// past 2^53 would lose exactness or wrap negative (a wrong 200).
+const maxTotal = 1 << 53
+
+// addTotal adds a non-negative v to *sum and reports whether the total
+// stays within maxTotal; it never overflows.
+func addTotal(sum *int64, v int64) bool {
+	if v > maxTotal-*sum {
+		return false
+	}
+	*sum += v
+	return true
+}
+
+var (
+	errTotalVolume = errors.New("tasks: total edge volume exceeds 2^53")
+	errTotalLoad   = errors.New("tasks: total load exceeds 2^53")
+)
+
 // Build constructs the task graph (parallel edges merged, self loops
-// dropped, unit task weights unless Loads says otherwise).
+// dropped, unit task weights unless Loads says otherwise). Total edge
+// volume and total load are capped at 2^53.
 func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("tasks: need n > 0, got %d", t.N)
@@ -52,6 +74,7 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 	us := make([]int32, 0, len(t.Edges))
 	vs := make([]int32, 0, len(t.Edges))
 	ws := make([]int64, 0, len(t.Edges))
+	var volume int64
 	for i, e := range t.Edges {
 		src, dst, vol := e[0], e[1], e[2]
 		if src < 0 || src >= int64(t.N) || dst < 0 || dst >= int64(t.N) {
@@ -59,6 +82,9 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		}
 		if vol <= 0 {
 			return nil, fmt.Errorf("tasks: edge %d has volume %d", i, vol)
+		}
+		if src != dst && !addTotal(&volume, vol) {
+			return nil, errTotalVolume
 		}
 		us = append(us, int32(src))
 		vs = append(vs, int32(dst))
@@ -70,9 +96,13 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 			return nil, fmt.Errorf("tasks: %d loads for %d tasks", len(t.Loads), t.N)
 		}
 		unit := true
+		var load int64
 		for i, l := range t.Loads {
 			if l < 0 {
 				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
+			}
+			if !addTotal(&load, l) {
+				return nil, errTotalLoad
 			}
 			if l != 1 {
 				unit = false

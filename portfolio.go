@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/torus"
+	"repro/internal/trace"
 )
 
 // PortfolioRequest races a set of candidate Solves against one task
@@ -163,9 +165,86 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 	return cands, nil
 }
 
+// sharedGroup is one candidate's handle on a §III-A grouping that
+// RunPortfolio computed once for every candidate at the same seed.
+type sharedGroup struct {
+	// group is the task→group vector; read-only, each candidate
+	// solves on a private copy.
+	group []int32
+	// wall is the grouping's wall time, charged to the candidate's
+	// TimeoutMS.
+	wall time.Duration
+	// tr and span are set for the lowest-index sharing candidate when
+	// it asked for a trace: the trace it continues, whose ended group
+	// span carries the shared grouping's wall time and counters.
+	tr   *trace.Trace
+	span *trace.Span
+}
+
+// shareGroupings runs the §III-A grouping once for every seed that two
+// or more graph-grouping candidates (all but the block-grouping DEF)
+// use, before the candidate fan-out. A grouping depends only on (task
+// graph, capacities, seed), so each of those candidates gets the same
+// vector a solve of its own would compute; the rest get nil and group
+// as usual. Each grouping runs on pool, the portfolio's own, so its
+// bisection subtrees use every worker the caller granted. A failed
+// grouping becomes the error of every candidate sharing it.
+func (e *Engine) shareGroupings(ctx context.Context, pool *parallel.Group, tasks *TaskGraph, cands []Solve, errs []error) []*sharedGroup {
+	shared := make([]*sharedGroup, len(cands))
+	if tasks.K > e.alloc.TotalProcs() {
+		return shared // every candidate fails its own size check
+	}
+	var seeds []int64
+	bySeed := map[int64][]int{}
+	for i, c := range cands {
+		if spec, _ := registry.Lookup(string(c.Mapper)); spec.Caps().BlockGrouping {
+			continue
+		}
+		if bySeed[c.Seed] == nil {
+			seeds = append(seeds, c.Seed)
+		}
+		bySeed[c.Seed] = append(bySeed[c.Seed], i)
+	}
+	for _, seed := range seeds {
+		idx := bySeed[seed]
+		if len(idx) < 2 {
+			continue
+		}
+		lead := idx[0]
+		var tr *trace.Trace
+		if cands[lead].Trace {
+			tr = trace.New()
+		}
+		sp := tr.Start("group")
+		sp.SetWorkers(pool.NumWorkers())
+		start := time.Now()
+		var group []int32
+		err := ctx.Err()
+		if err == nil {
+			group, err = groupTasks(tasks, e.caps, seed, pool, e.arena, tr)
+		}
+		wall := time.Since(start)
+		sp.End()
+		for _, i := range idx {
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			shared[i] = &sharedGroup{group: group, wall: wall}
+		}
+		if err == nil && tr != nil {
+			shared[lead].tr, shared[lead].span = tr, sp
+		}
+	}
+	return shared
+}
+
 // RunPortfolio fans the candidate set out across a bounded worker
 // pool, scores every finished result against the objective, and
-// returns the winner plus the full leaderboard. Selection is
+// returns the winner plus the full leaderboard. Every graph-grouping
+// candidate whose seed another one shares reuses one grouping computed
+// up front (see shareGroupings); its result is byte-identical to a
+// direct RunSolve of the same Solve. Selection is
 // deterministic at any worker count: scores are computed after the
 // fan-out and sorted with a stable tie-break on candidate index.
 // Cancellation is cooperative — when the deadline expires, candidates
@@ -189,10 +268,14 @@ func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*Portf
 	results := make([]*MapResult, len(cands))
 	errs := make([]error, len(cands))
 	grp := parallel.NewGroup(ctx, req.Workers)
+	shared := e.shareGroupings(ctx, grp, req.Tasks, cands, errs)
 	grp.ForEachIdx(len(cands), func(i int) {
+		if errs[i] != nil {
+			return // its shared grouping failed
+		}
 		// One worker per candidate by default: the portfolio pool is
 		// the fan-out. Solve.Workers oversubscribes deliberately.
-		results[i], errs[i] = e.runSolve(ctx, req.Tasks, cands[i], 1)
+		results[i], errs[i] = e.runSolve(ctx, req.Tasks, cands[i], 1, shared[i])
 	})
 
 	var entries, skipped []PortfolioEntry

@@ -2,11 +2,16 @@ package topomap
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/arena"
+	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // Portfolio tests: deterministic winner selection at any worker
@@ -301,5 +306,226 @@ func TestEnginePortfolioDeadlineBestSoFar(t *testing.T) {
 		Candidates: []Solve{{Mapper: UWH, Seed: 1}},
 	}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// sharedGroupingCandidates is one seed's worth of candidates that
+// exercise every stage that touches the group vector after grouping:
+// load balance (HET, and every non-DEF solve on the heterogeneous
+// fixture), fine-level refinement, the extra WH pass and tracing.
+// DEF block-groups and so never shares.
+func sharedGroupingCandidates(seed int64) []Solve {
+	return []Solve{
+		{Mapper: DEF, Seed: seed},
+		{Mapper: HET, Seed: seed, Balance: true},
+		{Mapper: UWH, Seed: seed, FineRefine: true},
+		{Mapper: UMC, Seed: seed, Refine: true},
+		{Mapper: UG, Seed: seed, Trace: true},
+		{Mapper: TMAP, Seed: seed},
+		{Mapper: UWH, Seed: seed + 1}, // alone at its seed: groups itself
+	}
+}
+
+// TestEnginePortfolioSharedGrouping: every leaderboard entry of a
+// portfolio whose candidates share one grouping is byte-identical to a
+// direct RunSolve of the same candidate, at workers 1, 2 and 8; no two
+// results share a backing array; and the traces say who shared.
+func TestEnginePortfolioSharedGrouping(t *testing.T) {
+	tg, topo, a := heteroFixture(t, 16, 16)
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := sharedGroupingCandidates(5)
+	direct := make([]*MapResult, len(cands))
+	for i, c := range cands {
+		if direct[i], err = eng.RunSolve(context.Background(), tg, c); err != nil {
+			t.Fatalf("direct %s: %v", c.Mapper, err)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		res, err := eng.RunPortfolio(context.Background(), PortfolioRequest{
+			Tasks: tg, Candidates: cands, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		byIndex := make([]*MapResult, len(cands))
+		for _, entry := range res.Leaderboard {
+			if entry.Skipped {
+				t.Fatalf("workers=%d: candidate %d skipped", workers, entry.Index)
+			}
+			byIndex[entry.Index] = entry.Result
+		}
+		for i, got := range byIndex {
+			want := direct[i]
+			if !reflect.DeepEqual(got.GroupOf, want.GroupOf) || !reflect.DeepEqual(got.NodeOf, want.NodeOf) {
+				t.Fatalf("workers=%d: candidate %d (%s) placement diverged from a direct RunSolve", workers, i, cands[i].Mapper)
+			}
+			if got.Metrics != want.Metrics || got.FineWHGain != want.FineWHGain || got.FineVolGain != want.FineVolGain {
+				t.Fatalf("workers=%d: candidate %d (%s) metrics diverged:\n %+v\n vs %+v", workers, i, cands[i].Mapper, got.Metrics, want.Metrics)
+			}
+			if rankfileBytes(t, got, a) != rankfileBytes(t, want, a) {
+				t.Fatalf("workers=%d: candidate %d (%s) rankfile diverged", workers, i, cands[i].Mapper)
+			}
+		}
+
+		// Private vectors: writing through one result leaves every
+		// other untouched.
+		snap := make([][]int32, len(byIndex))
+		vw := make([][]int64, len(byIndex))
+		for i, r := range byIndex {
+			snap[i] = append([]int32(nil), r.GroupOf...)
+			vw[i] = append([]int64(nil), r.Coarse.VW...)
+		}
+		for i, r := range byIndex {
+			r.GroupOf[0] = -1
+			r.Coarse.VW[0] = -1
+			for j, o := range byIndex {
+				if j != i && (!reflect.DeepEqual(o.GroupOf, snap[j]) || !reflect.DeepEqual(o.Coarse.VW, vw[j])) {
+					t.Fatalf("workers=%d: writing result %d changed result %d", workers, i, j)
+				}
+			}
+			r.GroupOf[0], r.Coarse.VW[0] = snap[i][0], vw[i][0]
+		}
+
+		// Trace: the traced sharing candidate marks its group span
+		// shared; as the only traced sharer that is not the lead it
+		// carries no bisection counts of its own.
+		group := byIndex[4].Trace.Stages()[0]
+		if group.Name != "group" || group.Counters["group_shared"] != 1 || group.Counters["bisections"] != 0 {
+			t.Fatalf("workers=%d: traced sharing candidate's group span = %+v", workers, group)
+		}
+	}
+}
+
+// TestEnginePortfolioSharedGroupingTrace: the lowest-index sharing
+// candidate's group span carries the shared grouping's wall time,
+// worker count and bisection counters; every sharing candidate's span
+// carries group_shared=1; DEF and a candidate alone at its seed carry
+// none; and the traced portfolio is byte-identical to the untraced one.
+func TestEnginePortfolioSharedGroupingTrace(t *testing.T) {
+	eng, tg, _ := portfolioFixture(t)
+	cands := []Solve{
+		{Mapper: DEF, Seed: 3},
+		{Mapper: UWH, Seed: 3},
+		{Mapper: UMC, Seed: 3},
+		{Mapper: UG, Seed: 4},
+	}
+	plain, err := eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tg, Candidates: cands, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := append([]Solve(nil), cands...)
+	for i := range traced {
+		traced[i].Trace = true
+	}
+	res, err := eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tg, Candidates: traced, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Leaderboard {
+		g, p := res.Leaderboard[i], plain.Leaderboard[i]
+		if g.Index != p.Index || g.Score != p.Score ||
+			!reflect.DeepEqual(g.Result.GroupOf, p.Result.GroupOf) || !reflect.DeepEqual(g.Result.NodeOf, p.Result.NodeOf) {
+			t.Fatalf("rank %d: traced portfolio diverged from untraced", i)
+		}
+	}
+	group := map[int]trace.Stage{}
+	for _, entry := range res.Leaderboard {
+		st := entry.Result.Trace.Stages()[0]
+		if st.Name != "group" {
+			t.Fatalf("candidate %d: first stage %q", entry.Index, st.Name)
+		}
+		group[entry.Index] = st
+	}
+	if lead := group[1]; lead.Counters["group_shared"] != 1 || lead.Counters["bisections"] == 0 || lead.Workers != 2 || lead.DurMS <= 0 {
+		t.Fatalf("lead sharing candidate's group span = %+v", lead)
+	}
+	if other := group[2]; other.Counters["group_shared"] != 1 || other.Counters["bisections"] != 0 {
+		t.Fatalf("second sharing candidate's group span = %+v", other)
+	}
+	for _, i := range []int{0, 3} {
+		if group[i].Counters["group_shared"] != 0 {
+			t.Fatalf("non-sharing candidate %d marked shared: %+v", i, group[i])
+		}
+	}
+	if group[3].Counters["bisections"] == 0 {
+		t.Fatalf("candidate alone at its seed did not group itself: %+v", group[3])
+	}
+}
+
+// withGroupTasks swaps the grouping function for the duration of a
+// test.
+func withGroupTasks(t *testing.T, f func(*TaskGraph, []int64, int64, *parallel.Group, *arena.Arena, *trace.Trace) ([]int32, error)) {
+	t.Helper()
+	prev := groupTasks
+	groupTasks = f
+	t.Cleanup(func() { groupTasks = prev })
+}
+
+// TestPortfolioSharedGroupingTimeout: a candidate's TimeoutMS still
+// pays for the shared grouping — with a grouping slower than its 1 ms
+// budget it is Skipped, while the unbudgeted candidate sharing the
+// same grouping completes.
+func TestPortfolioSharedGroupingTimeout(t *testing.T) {
+	eng, tg, _ := portfolioFixture(t)
+	real := groupTasks
+	withGroupTasks(t, func(tg *TaskGraph, caps []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
+		time.Sleep(5 * time.Millisecond)
+		return real(tg, caps, seed, par, ar, tr)
+	})
+	res, err := eng.RunPortfolio(context.Background(), PortfolioRequest{
+		Tasks:      tg,
+		Candidates: []Solve{{Mapper: UWH, Seed: 1, TimeoutMS: 1}, {Mapper: UMC, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped != 1 || res.Winner != 1 {
+		t.Fatalf("skipped=%d winner=%d, want 1 skipped and candidate 1 winning", res.Skipped, res.Winner)
+	}
+	if last := res.Leaderboard[1]; last.Index != 0 || !last.Skipped {
+		t.Fatalf("over-budget sharing candidate not Skipped: %+v", last)
+	}
+}
+
+// TestPortfolioSharedGroupingCancelAndFail: cancelling the portfolio
+// during the shared grouping skips every sharing candidate and, with
+// nothing completed, surfaces ctx.Err; a grouping failure that is not
+// a cancellation fails the portfolio naming the lowest-index sharing
+// candidate.
+func TestPortfolioSharedGroupingCancelAndFail(t *testing.T) {
+	eng, tg, _ := portfolioFixture(t)
+	real := groupTasks
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	withGroupTasks(t, func(tg *TaskGraph, caps []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
+		calls++
+		cancel()
+		return real(tg, caps, seed, par, ar, tr)
+	})
+	_, err := eng.RunPortfolio(ctx, PortfolioRequest{
+		Tasks:      tg,
+		Candidates: []Solve{{Mapper: UWH, Seed: 1}, {Mapper: UMC, Seed: 1}, {Mapper: UML, Seed: 1}},
+		Workers:    2,
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Fatalf("grouping ran %d times, want once for the shared seed", calls)
+	}
+
+	boom := errors.New("grouping exploded")
+	withGroupTasks(t, func(*TaskGraph, []int64, int64, *parallel.Group, *arena.Arena, *trace.Trace) ([]int32, error) {
+		return nil, boom
+	})
+	_, err = eng.RunPortfolio(context.Background(), PortfolioRequest{
+		Tasks:      tg,
+		Candidates: []Solve{{Mapper: DEF, Seed: 1}, {Mapper: UWH, Seed: 1}, {Mapper: UMC, Seed: 1}},
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "candidate 1 (UWH)") {
+		t.Fatalf("err = %v, want the grouping failure on candidate 1 (UWH)", err)
 	}
 }

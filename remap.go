@@ -312,7 +312,7 @@ func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult
 		if coldSolve.Mapper == "" {
 			coldSolve.Mapper = prev.Mapper
 		}
-		cold, err := ne.runSolve(ctx, tasks, coldSolve, 0)
+		cold, err := ne.runSolve(ctx, tasks, coldSolve, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("topomap: remap cold fallback: %w", err)
 		}
