@@ -70,11 +70,11 @@ bench:
 # tracked alongside ns/op — and record them as JSON diffable PR over
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
 # instances run at a lower iteration count: one solve is ~10^8 ns.
-BENCH_OUT ?= BENCH_PR12.json
+BENCH_OUT ?= BENCH_PR13.json
 BENCH_NOTES ?=
 bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
-	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced' -benchmem -benchtime=50x -count=1 . > $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced|BenchmarkGroupTasks' -benchmem -benchtime=50x -count=1 . > $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) $(BENCH_NOTES) < $$tmp

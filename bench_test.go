@@ -1015,3 +1015,31 @@ func BenchmarkEngineParallelSolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGroupTasks isolates the §III-A grouping stage — the
+// multilevel recursive bisection that dominates a non-DEF solve — on
+// the 16³ stencil over 256 nodes × 16 slots, at 1 and 2 workers. The
+// arena persists across iterations as an Engine's does, so B/op is the
+// steady-state allocation of one grouping.
+func BenchmarkGroupTasks(b *testing.B) {
+	tg, err := taskgraph.Stencil(16, 16, 16, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	caps := make([]int64, 256)
+	for i := range caps {
+		caps[i] = 16
+	}
+	ar := arena.New()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			par := parallel.NewGroup(context.Background(), workers)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := taskgraph.GroupTasksExec(tg, caps, 1, par, ar, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -185,6 +185,9 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 	if tg == nil {
 		return nil, fmt.Errorf("topomap: request carries no task graph")
 	}
+	if err := tg.CheckTotals(); err != nil {
+		return nil, fmt.Errorf("topomap: %w", err)
+	}
 	if s.TimeoutMS < 0 {
 		return nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
 	}

@@ -2,10 +2,15 @@ package topomap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/arena"
+	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // Engine/Request API tests: golden equivalence against the legacy
@@ -566,4 +571,63 @@ func ExampleEngine_RunBatch() {
 	fmt.Println("UWH no worse than DEF:", results[1].Metrics.WH <= results[0].Metrics.WH)
 	// Output:
 	// UWH no worse than DEF: true
+}
+
+// TestEngineRejectsOverflowingTotals: the library boundary applies the
+// wire's 2^53 totals rule to a hand-built task graph. Every entry point
+// returns an error before any work — the grouping seam must never run —
+// where the graph used to yield wrapped, negative metrics (and GEOM a
+// "negative point weight" failure).
+func TestEngineRejectsOverflowingTotals(t *testing.T) {
+	withGroupTasks(t, func(*TaskGraph, []int64, int64, *parallel.Group, *arena.Arena, *trace.Trace) ([]int32, error) {
+		t.Error("grouping ran on a task graph past the totals rule")
+		return nil, errors.New("unreachable")
+	})
+	topo := NewHopperTorus(4, 4, 4)
+	a, err := SparseAllocation(topo, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1<<63 - 1
+	build := func(us, vs []int32, ws, loads []int64) *TaskGraph {
+		g := FromEdges(2, us, vs, ws)
+		g.VW = loads
+		tg := &TaskGraph{G: g, K: 2}
+		if err := tg.SetCoords(2, []float64{0, 0, 1, 0}); err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	for _, tc := range []struct {
+		name string
+		tg   *TaskGraph
+		want string
+	}{
+		{"volume and loads", build([]int32{0, 1}, []int32{1, 0}, []int64{huge, huge}, []int64{huge, huge}), "total edge volume"},
+		{"loads", build([]int32{0}, []int32{1}, []int64{1}, []int64{1 << 52, 1<<52 + 1}), "total load"},
+		// Two 2^62 messages merge into one wrapped-negative edge.
+		{"merged volume", build([]int32{0, 0}, []int32{1, 1}, []int64{1 << 62, 1 << 62}, nil), "negative volume"},
+	} {
+		ctx := context.Background()
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: err = %v, want one naming %q", tc.name, entry, err, tc.want)
+			}
+		}
+		for _, m := range []Mapper{UWH, HET, GEOM} {
+			_, err := eng.RunSolve(ctx, tc.tg, Solve{Mapper: m, Seed: 1})
+			check("RunSolve "+string(m), err)
+		}
+		_, err := eng.RunBatch([]Request{{Mapper: UWH, Tasks: tc.tg, Seed: 1}})
+		check("RunBatch", err)
+		_, err = eng.RunPortfolio(ctx, PortfolioRequest{Tasks: tc.tg, Candidates: []Solve{{Mapper: UWH, Seed: 1}, {Mapper: UMC, Seed: 1}}})
+		check("RunPortfolio", err)
+		_, err = eng.RunRemap(ctx, tc.tg, nil, AllocationDelta{}, RemapSpec{})
+		check("RunRemap", err)
+	}
 }

@@ -161,7 +161,7 @@ func (a *Arena) PutBools(s []bool) {
 }
 
 // Edges borrows a zeroed []ds.EdgeTriple of length n — the staging
-// buffer the CSR graph builders sort and merge before laying out the
+// buffer the CSR graph builders bucket and merge before laying out the
 // final arrays (which escape and therefore stay freshly allocated).
 func (a *Arena) Edges(n int) []ds.EdgeTriple {
 	if a != nil {

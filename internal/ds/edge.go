@@ -1,7 +1,7 @@
 package ds
 
 // EdgeTriple is one directed weighted edge in the staging form the
-// CSR builders sort and merge before laying out a graph. It lives in
+// CSR builders bucket and merge before laying out a graph. It lives in
 // ds (not graph) so the arena can pool triple scratch without
 // importing the graph package.
 type EdgeTriple struct {

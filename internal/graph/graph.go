@@ -4,8 +4,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/ds"
@@ -140,7 +141,7 @@ func FromEdges(n int, us, vs []int32, ws []int64, vw []int64) *Graph {
 
 // FromEdgesArena is FromEdges with the edge-staging buffer borrowed
 // from an arena — the final CSR arrays escape into the result and
-// remain freshly allocated, but the sort-and-merge scratch (the
+// remain freshly allocated, but the bucket-and-merge scratch (the
 // dominant transient of graph construction) is recycled. A nil arena
 // allocates fresh, so the two paths build identical graphs.
 func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int64) *Graph {
@@ -160,44 +161,89 @@ func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int6
 		triples[cnt] = ds.EdgeTriple{U: us[i], V: vs[i], W: w}
 		cnt++
 	}
-	g := FromTriples(n, triples[:cnt], vw)
+	g := FromTriples(a, n, triples[:cnt], vw)
 	a.PutEdges(triples)
 	return g
 }
+
+// insertionMax is the longest row FromTriples orders by insertion
+// sort; longer (hub) rows use slices.SortFunc, so a row of degree d
+// costs O(d log d) at worst and O(d) when it arrives already ordered.
+const insertionMax = 16
 
 // FromTriples builds a CSR graph with n vertices from staged edge
 // triples, merging parallel edges by summing weights. Self loops must
 // already be filtered out. triples is scratch: it is reordered in
 // place and never retained, so callers may pool it. vw is retained.
-func FromTriples(n int, triples []ds.EdgeTriple, vw []int64) *Graph {
-	sort.Slice(triples, func(i, j int) bool {
-		if triples[i].U != triples[j].U {
-			return triples[i].U < triples[j].U
-		}
-		return triples[i].V < triples[j].V
-	})
-	// Merge duplicates.
-	out := triples[:0]
+//
+// The build is linear apart from the per-row ordering: a counting pass
+// sizes the rows, an in-place bucket permutation groups the triples by
+// U (its cursors borrowed from a; nil allocates fresh), and each row
+// is then ordered by V with its duplicates merged in the same pass.
+// The result depends only on the multiset of triples — rows in (U,V)
+// order, parallel weights summed — never on their order.
+func FromTriples(a *arena.Arena, n int, triples []ds.EdgeTriple, vw []int64) *Graph {
+	xadj := make([]int32, n+1)
 	for _, t := range triples {
-		if len(out) > 0 && out[len(out)-1].U == t.U && out[len(out)-1].V == t.V {
-			out[len(out)-1].W += t.W
-			continue
-		}
-		out = append(out, t)
-	}
-	g := &Graph{
-		Xadj: make([]int32, n+1),
-		Adj:  make([]int32, len(out)),
-		EW:   make([]int64, len(out)),
-		VW:   vw,
-	}
-	for _, t := range out {
-		g.Xadj[t.U+1]++
+		xadj[t.U+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.Xadj[v+1] += g.Xadj[v]
+		xadj[v+1] += xadj[v]
 	}
-	for i, t := range out {
+	// Cycle-leader permutation: next[u] is the first unfilled slot of
+	// row u. A misplaced triple is swapped into its own row's next slot
+	// and the triple it displaces carried on, so every triple moves
+	// at most once and rows before u are complete when u is reached.
+	next := a.Int32s(n)
+	copy(next, xadj[:n])
+	for u := int32(0); u < int32(n); u++ {
+		for i := next[u]; i < xadj[u+1]; i = next[u] {
+			t := triples[i]
+			for t.U != u {
+				j := next[t.U]
+				next[t.U]++
+				t, triples[j] = triples[j], t
+			}
+			triples[i] = t
+			next[u]++
+		}
+	}
+	a.PutInt32s(next)
+	// Order and merge each row, compacting triples in place: the write
+	// cursor w never passes the row being read, and xadj[u] becomes the
+	// merged start of row u once row u-1's unmerged end is consumed.
+	lo, w := int32(0), int32(0)
+	for u := 0; u < n; u++ {
+		hi := xadj[u+1]
+		xadj[u] = w
+		row := triples[lo:hi]
+		if len(row) <= insertionMax {
+			for i := 1; i < len(row); i++ {
+				for j := i; j > 0 && row[j].V < row[j-1].V; j-- {
+					row[j], row[j-1] = row[j-1], row[j]
+				}
+			}
+		} else {
+			slices.SortFunc(row, func(x, y ds.EdgeTriple) int { return cmp.Compare(x.V, y.V) })
+		}
+		for i, t := range row {
+			if i > 0 && triples[w-1].V == t.V {
+				triples[w-1].W += t.W
+				continue
+			}
+			triples[w] = t
+			w++
+		}
+		lo = hi
+	}
+	xadj[n] = w
+	g := &Graph{
+		Xadj: xadj,
+		Adj:  make([]int32, w),
+		EW:   make([]int64, w),
+		VW:   vw,
+	}
+	for i, t := range triples[:w] {
 		g.Adj[i] = t.V
 		g.EW[i] = t.W
 	}
@@ -232,7 +278,7 @@ func (g *Graph) SymmetrizeArena(a *arena.Arena) *Graph {
 	if g.VW != nil {
 		vw = append([]int64(nil), g.VW...)
 	}
-	res := FromTriples(g.N(), triples[:cnt], vw)
+	res := FromTriples(a, g.N(), triples[:cnt], vw)
 	a.PutEdges(triples)
 	return res
 }
@@ -277,7 +323,7 @@ func (g *Graph) InducedSubgraphArena(a *arena.Arena, vertices []int32) (*Graph, 
 			vw[i] = g.VW[v]
 		}
 	}
-	res := FromTriples(len(vertices), triples[:cnt], vw)
+	res := FromTriples(a, len(vertices), triples[:cnt], vw)
 	a.PutEdges(triples)
 	return res, remap
 }

@@ -10,15 +10,18 @@ import (
 // bisect computes a 2-way partition of g with target weights tw using
 // the full multilevel pipeline. It returns the side (0/1) per vertex;
 // the slice is arena-backed when opt.Arena is set and the caller owns
-// it (recursiveBisect returns it to the pool after splitting).
-func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
+// it (recursiveBisect returns it to the pool after splitting). It also
+// returns the work done, for the caller's trace counters: the number
+// of coarsening levels built and the FM moves made (rolled-back moves
+// included).
+func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) (side []int8, coarsenLevels, fmMoves int) {
 	if g.N() == 0 {
-		return nil
+		return nil, 0, 0
 	}
 	levels := coarsen(g, opt, rng)
 	coarsest := levels[len(levels)-1].g
-	side := initialBisection(coarsest, tw, opt, rng)
-	refineBisection(coarsest, side, tw, opt, rng)
+	side = initialBisection(coarsest, tw, opt, rng)
+	fmMoves = refineBisection(coarsest, side, tw, opt)
 	// Project back up the hierarchy, refining at each level. On
 	// cancellation the projection still completes — the caller needs a
 	// full-length side vector — but the refinement work is skipped.
@@ -28,14 +31,15 @@ func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
 		for v := 0; v < fine.g.N(); v++ {
 			fineSide[v] = side[fine.cmap[v]]
 		}
+		opt.Arena.PutInt32s(fine.cmap)
 		opt.Arena.PutInt8s(side)
 		side = fineSide
 		if opt.Par.Cancelled() {
 			continue
 		}
-		refineBisection(fine.g, side, tw, opt, rng)
+		fmMoves += refineBisection(fine.g, side, tw, opt)
 	}
-	return side
+	return side, len(levels) - 1, fmMoves
 }
 
 // initialBisection runs several greedy-graph-growing attempts and
@@ -134,21 +138,27 @@ func growBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []i
 	return side
 }
 
-// refineBisection runs FM passes until no pass improves the cut.
-func refineBisection(g *graph.Graph, side []int8, tw [2]int64, opt Options, rng *rand.Rand) {
+// refineBisection runs FM passes until no pass improves the cut and
+// returns the number of moves the passes made.
+func refineBisection(g *graph.Graph, side []int8, tw [2]int64, opt Options) int {
+	moves := 0
 	for pass := 0; pass < opt.FMPasses; pass++ {
 		if opt.Par.Cancelled() {
-			return
+			break
 		}
-		if !fmPass(g, side, tw, opt) {
-			return
+		improved, n := fmPass(g, side, tw, opt)
+		moves += n
+		if !improved {
+			break
 		}
 	}
+	return moves
 }
 
 // fmPass performs one Fiduccia–Mattheyses pass with rollback to the
-// best prefix. It reports whether the cut or feasibility improved.
-func fmPass(g *graph.Graph, side []int8, tw [2]int64, opt Options) bool {
+// best prefix. It reports whether the cut or feasibility improved, and
+// how many moves it made before rolling back.
+func fmPass(g *graph.Graph, side []int8, tw [2]int64, opt Options) (bool, int) {
 	n := g.N()
 	maxW := [2]int64{maxAllowed(tw[0], opt.Imbalance), maxAllowed(tw[1], opt.Imbalance)}
 	w := sideWeights(g, side)
@@ -271,7 +281,7 @@ moves:
 		w[to] -= g.VertexWeight(int(m.v))
 		w[m.from] += g.VertexWeight(int(m.v))
 	}
-	return bestSum > 0 || bestPrefix > 0 && bestSum >= 0
+	return bestSum > 0 || bestPrefix > 0 && bestSum >= 0, len(history)
 }
 
 func maxAllowed(target int64, eps float64) int64 {

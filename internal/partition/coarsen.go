@@ -11,16 +11,23 @@ import (
 // matchVertices computes a matching of g according to the policy and
 // returns the coarse vertex id of every fine vertex plus the number
 // of coarse vertices. Unmatched vertices map to singleton coarse
-// vertices.
-func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand) ([]int32, int) {
+// vertices. The matching scratch and the returned map are borrowed
+// from ar; bisect returns the map once it has projected through it.
+func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand, ar *arena.Arena) ([]int32, int) {
 	n := g.N()
-	match := make([]int32, n)
+	match := ar.Int32s(n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
-	for _, vi := range order {
-		v := int32(vi)
+	// The visiting order is rng.Perm(n), drawn identically into pooled
+	// int32 scratch.
+	order := ar.Int32s(n)
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
+	}
+	for _, v := range order {
 		if match[v] >= 0 {
 			continue
 		}
@@ -57,8 +64,9 @@ func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand) ([]int32, in
 			match[v] = v
 		}
 	}
+	ar.PutInt32s(order)
 	// Assign coarse ids.
-	cmap := make([]int32, n)
+	cmap := ar.Int32s(n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -73,6 +81,7 @@ func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand) ([]int32, in
 		}
 		nc++
 	}
+	ar.PutInt32s(match)
 	return cmap, int(nc)
 }
 
@@ -97,7 +106,7 @@ func contract(g *graph.Graph, cmap []int32, nc int, ar *arena.Arena) *graph.Grap
 			cnt++
 		}
 	}
-	out := graph.FromTriples(nc, triples[:cnt], vw)
+	out := graph.FromTriples(ar, nc, triples[:cnt], vw)
 	ar.PutEdges(triples)
 	return out
 }
@@ -114,8 +123,9 @@ func coarsen(g *graph.Graph, opt Options, rng *rand.Rand) []level {
 	levels := []level{{g: g}}
 	cur := g
 	for cur.N() > opt.CoarsenTo {
-		cmap, nc := matchVertices(cur, opt.Matching, rng)
+		cmap, nc := matchVertices(cur, opt.Matching, rng, opt.Arena)
 		if float64(nc) > 0.95*float64(cur.N()) {
+			opt.Arena.PutInt32s(cmap)
 			break // diminishing returns (star-like graphs)
 		}
 		next := contract(cur, cmap, nc, opt.Arena)

@@ -63,9 +63,10 @@ type Options struct {
 	// allocates almost nothing. A nil Arena allocates fresh buffers.
 	Arena *arena.Arena
 	// Trace, when non-nil, receives per-stage counters (bisections
-	// run, maximum recursion depth) on its open span. Counters are
-	// reported once per bisection subtree — never from an inner loop —
-	// and never influence a partitioning decision.
+	// run, coarsening levels built, FM moves made, maximum recursion
+	// depth) on its open span. Counters are reported once per
+	// bisection subtree — never from an inner loop — and never
+	// influence a partitioning decision.
 	Trace *trace.Trace
 }
 
@@ -207,10 +208,12 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 	}
 	bisOpt.Imbalance = opt.Imbalance / float64(levels)
 	rng := subtreeRNG(opt.Seed, path)
-	side := bisect(g, [2]int64{twL, twR}, bisOpt, rng)
+	side, coarsenLevels, fmMoves := bisect(g, [2]int64{twL, twR}, bisOpt, rng)
 	// path doubles per level, so its bit length is the subtree's depth
 	// in the split tree (root 1 = depth 0).
 	opt.Trace.Add("bisections", 1)
+	opt.Trace.Add("coarsen_levels", int64(coarsenLevels))
+	opt.Trace.Add("fm_moves", int64(fmMoves))
 	opt.Trace.Max("bisect_depth", int64(bits.Len64(path)-1))
 
 	ar := opt.Arena

@@ -2,11 +2,13 @@ package partition
 
 import (
 	"context"
+	"maps"
 	"testing"
 
 	"repro/internal/arena"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 func checkPartition(t *testing.T, g *graph.Graph, part []int32, k int, targets []int64, eps float64) {
@@ -308,7 +310,9 @@ func TestImbalanceHelper(t *testing.T) {
 // part vector must be byte-identical for every worker count — the
 // split tree depends only on (graph, targets, seed), never on how
 // subtrees were scheduled. Run under -race this is also the proof
-// that parallel subtrees touch disjoint state.
+// that parallel subtrees touch disjoint state. The traced runs also
+// pin the per-subtree work counters: the same at every worker count,
+// and tracing leaves the part vector unchanged.
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	g := graph.RandomConnected(2000, 6000, 50, 7)
 	targets := make([]int64, 32)
@@ -321,16 +325,30 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var baseCounters map[string]int64
 		for _, workers := range []int{1, 2, 8} {
+			tr := trace.New()
+			sp := tr.Start("group")
 			opt := Options{
 				Seed:     42,
 				Matching: m,
 				Par:      parallel.NewGroup(context.Background(), workers),
 				Arena:    arena.New(),
+				Trace:    tr,
 			}
 			got, err := PartitionTargets(g, targets, opt)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			sp.End()
+			counters := tr.Stages()[0].Counters
+			if counters["bisections"] != int64(len(targets)-1) || counters["coarsen_levels"] < 1 || counters["fm_moves"] < 1 {
+				t.Fatalf("matching=%d workers=%d: counters %v", m, workers, counters)
+			}
+			if baseCounters == nil {
+				baseCounters = counters
+			} else if !maps.Equal(counters, baseCounters) {
+				t.Fatalf("matching=%d workers=%d: counters %v, want %v", m, workers, counters, baseCounters)
 			}
 			for v := range base {
 				if got[v] != base[v] {

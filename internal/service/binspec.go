@@ -15,6 +15,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/ds"
 	"repro/internal/graph"
+	"repro/internal/taskgraph"
 	"repro/internal/wirebin"
 )
 
@@ -208,8 +209,8 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 			if int32(v) == dst {
 				continue // self loop, dropped like the JSON path
 			}
-			if !addTotal(&volume, vol) {
-				return nil, errTotalVolume
+			if !taskgraph.AddTotal(&volume, vol) {
+				return nil, taskgraph.ErrTotalVolume
 			}
 			tri[cnt] = ds.EdgeTriple{U: int32(v), V: dst, W: vol}
 			cnt++
@@ -225,8 +226,8 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 			if l < 0 {
 				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
 			}
-			if !addTotal(&load, l) {
-				return nil, errTotalLoad
+			if !taskgraph.AddTotal(&load, l) {
+				return nil, taskgraph.ErrTotalLoad
 			}
 			if l != 1 {
 				unit = false
@@ -239,7 +240,7 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 			loads = nil
 		}
 	}
-	tg := &topomap.TaskGraph{G: graph.FromTriples(t.N, tri[:cnt], loads), K: t.N}
+	tg := &topomap.TaskGraph{G: graph.FromTriples(binArena, t.N, tri[:cnt], loads), K: t.N}
 	if t.HasCoords() {
 		dim := t.CoordDim()
 		coords := make([]float64, t.N*dim)

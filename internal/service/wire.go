@@ -13,13 +13,13 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
 	topomap "repro"
 	"repro/internal/registry"
+	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
 
@@ -41,29 +41,9 @@ type TaskGraphSpec struct {
 // (vertex arrays, grouping) is unrelated to the request's byte size.
 const maxTasks = 1 << 20
 
-// maxTotal bounds a task graph's total edge volume and total load. The
-// metrics sum both as int64 and report them as float64, so a total
-// past 2^53 would lose exactness or wrap negative (a wrong 200).
-const maxTotal = 1 << 53
-
-// addTotal adds a non-negative v to *sum and reports whether the total
-// stays within maxTotal; it never overflows.
-func addTotal(sum *int64, v int64) bool {
-	if v > maxTotal-*sum {
-		return false
-	}
-	*sum += v
-	return true
-}
-
-var (
-	errTotalVolume = errors.New("tasks: total edge volume exceeds 2^53")
-	errTotalLoad   = errors.New("tasks: total load exceeds 2^53")
-)
-
 // Build constructs the task graph (parallel edges merged, self loops
 // dropped, unit task weights unless Loads says otherwise). Total edge
-// volume and total load are capped at 2^53.
+// volume and total load are capped at 2^53 (taskgraph.AddTotal).
 func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("tasks: need n > 0, got %d", t.N)
@@ -83,8 +63,8 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		if vol <= 0 {
 			return nil, fmt.Errorf("tasks: edge %d has volume %d", i, vol)
 		}
-		if src != dst && !addTotal(&volume, vol) {
-			return nil, errTotalVolume
+		if src != dst && !taskgraph.AddTotal(&volume, vol) {
+			return nil, taskgraph.ErrTotalVolume
 		}
 		us = append(us, int32(src))
 		vs = append(vs, int32(dst))
@@ -101,8 +81,8 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 			if l < 0 {
 				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
 			}
-			if !addTotal(&load, l) {
-				return nil, errTotalLoad
+			if !taskgraph.AddTotal(&load, l) {
+				return nil, taskgraph.ErrTotalLoad
 			}
 			if l != 1 {
 				unit = false

@@ -8,6 +8,7 @@
 package taskgraph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -66,6 +67,54 @@ func (t *TaskGraph) SetCoords(dim int, coords []float64) error {
 // Coord returns task v's coordinate vector (a view into Coords).
 func (t *TaskGraph) Coord(v int) []float64 {
 	return t.Coords[v*t.Dim : (v+1)*t.Dim]
+}
+
+// maxTotal bounds a task graph's total edge volume and total load. The
+// metrics sum both as int64 and report them as float64, so a total
+// past 2^53 would lose exactness or wrap negative.
+const maxTotal = 1 << 53
+
+// AddTotal adds a non-negative v to *sum and reports whether the total
+// stays within 2^53; it never overflows.
+func AddTotal(sum *int64, v int64) bool {
+	if v > maxTotal-*sum {
+		return false
+	}
+	*sum += v
+	return true
+}
+
+// Errors for task graphs whose totals break the 2^53 rule.
+var (
+	ErrTotalVolume = errors.New("tasks: total edge volume exceeds 2^53")
+	ErrTotalLoad   = errors.New("tasks: total load exceeds 2^53")
+)
+
+// CheckTotals applies the 2^53 rule to a built task graph: every
+// edge volume and task load must be non-negative and each total at
+// most 2^53. The engine runs it before any work, so a hand-built graph
+// gets the same rule the wire decoders apply.
+func (t *TaskGraph) CheckTotals() error {
+	var volume, load int64
+	for i := 0; i < t.G.M(); i++ {
+		w := t.G.EdgeWeight(i)
+		if w < 0 {
+			return fmt.Errorf("tasks: edge %d has negative volume %d", i, w)
+		}
+		if !AddTotal(&volume, w) {
+			return ErrTotalVolume
+		}
+	}
+	for v := 0; v < t.G.N(); v++ {
+		l := t.G.VertexWeight(v)
+		if l < 0 {
+			return fmt.Errorf("tasks: task %d has negative load %d", v, l)
+		}
+		if !AddTotal(&load, l) {
+			return ErrTotalLoad
+		}
+	}
+	return nil
 }
 
 // Metrics are the partition communication metrics of §IV-A, in unit
@@ -298,7 +347,7 @@ func CoarseGraphArena(ar *arena.Arena, t *TaskGraph, group []int32, nGroups int)
 	for u := 0; u < t.G.N(); u++ {
 		vw[group[u]] += t.G.VertexWeight(u)
 	}
-	g := graph.FromTriples(nGroups, triples[:cnt], vw)
+	g := graph.FromTriples(ar, nGroups, triples[:cnt], vw)
 	ar.PutEdges(triples)
 	return g
 }
@@ -333,7 +382,7 @@ func CoarseMessageGraphArena(ar *arena.Arena, t *TaskGraph, group []int32, nGrou
 	for u := 0; u < t.G.N(); u++ {
 		vw[group[u]] += t.G.VertexWeight(u)
 	}
-	g := graph.FromTriples(nGroups, triples[:cnt], vw)
+	g := graph.FromTriples(ar, nGroups, triples[:cnt], vw)
 	ar.PutEdges(triples)
 	return g
 }

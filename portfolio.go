@@ -257,6 +257,9 @@ func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*Portf
 	if req.Tasks == nil {
 		return nil, fmt.Errorf("topomap: portfolio carries no task graph")
 	}
+	if err := req.Tasks.CheckTotals(); err != nil {
+		return nil, fmt.Errorf("topomap: %w", err) // before the shared groupings run
+	}
 	if err := req.Objective.Validate(); err != nil {
 		return nil, err
 	}

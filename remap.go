@@ -231,6 +231,9 @@ func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult
 	if tasks == nil {
 		return nil, fmt.Errorf("topomap: remap carries no task graph")
 	}
+	if err := tasks.CheckTotals(); err != nil {
+		return nil, fmt.Errorf("topomap: %w", err)
+	}
 	if prev == nil {
 		return nil, fmt.Errorf("topomap: remap carries no previous result")
 	}

@@ -75,6 +75,11 @@ func TestSolveTraceStages(t *testing.T) {
 	if byName["group"]["bisections"] < 1 {
 		t.Fatalf("group stage recorded no bisections: %v", byName["group"])
 	}
+	// 96 tasks is already at the partitioner's coarsening floor, so
+	// the levels counter may be zero, but it is reported.
+	if _, ok := byName["group"]["coarsen_levels"]; !ok || byName["group"]["fm_moves"] < 1 {
+		t.Fatalf("group stage work counters: %v", byName["group"])
+	}
 	if byName["coarsen"]["coarse_vertices"] != int64(a.NumNodes()) {
 		t.Fatalf("coarsen stage counted %d vertices, want %d", byName["coarsen"]["coarse_vertices"], a.NumNodes())
 	}
